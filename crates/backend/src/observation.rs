@@ -80,15 +80,6 @@ pub struct Observation {
 }
 
 impl Observation {
-    /// Operators under backpressure per the mode's detection rule.
-    pub fn backpressured_ops(&self) -> Vec<OpId> {
-        self.per_op
-            .iter()
-            .filter(|o| o.flink_backpressured)
-            .map(|o| o.op)
-            .collect()
-    }
-
     /// Observation of one operator.
     pub fn op(&self, id: OpId) -> &OpObservation {
         &self.per_op[id.index()]

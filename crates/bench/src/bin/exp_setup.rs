@@ -58,6 +58,7 @@ fn main() {
         BASE_CYCLE
     );
     println!(
-        "PQP units are calibrated ×100 vs the paper (ratio 20:2:1 preserved) — see DESIGN.md §1."
+        "PQP units are calibrated ×100 vs the paper (ratio 20:2:1 preserved): \
+         the simulated operators process more per core than the paper's testbed."
     );
 }

@@ -65,7 +65,8 @@
 //!   with a scripted rate shift, tick the monitor and report the
 //!   automatic re-tune.
 //!
-//! The default backend is the simulated cluster (see DESIGN.md §1); every
+//! The default backend is the simulated cluster (`streamtune-sim`, which
+//! stands in for the paper's Flink and Timely testbeds); every
 //! tuner runs through the backend-agnostic `ExecutionBackend` API, so the
 //! same commands also drive the Flink REST connector (`--backend
 //! flink:<url>`). Fault knobs apply everywhere: `--retry-attempts` /

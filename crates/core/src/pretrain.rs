@@ -12,7 +12,7 @@
 use crate::label::{bottleneck_labels, LabelConfig};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use streamtune_cluster::{cluster_dags_cached, nearest_center, ClusterConfig};
+use streamtune_cluster::{cluster_dags_cached, ClusterConfig};
 use streamtune_dataflow::{Dataflow, FeatureEncoder, GraphSignature};
 use streamtune_ged::{ged_with, parallel_map, Bound, GedCache, GraphView, Parallelism, StructId};
 use streamtune_model::TrainPoint;
@@ -26,7 +26,7 @@ use streamtune_workloads::history::ExecutionRecord;
 /// operator embeddings; a compact encoder does this imperfectly, so we
 /// additionally expose the operator's *observed input rate* (the same
 /// signal every Flink/Timely dashboard reports) as an explicit feature.
-/// Documented as an implementation deviation in DESIGN.md §4.
+/// This extra feature is a deviation from the paper's encoder.
 pub const RATE_FEATURE_NORM: f64 = 18.420_680_743_952_367; // ln(1e8)
 
 /// Normalized input-rate feature.
@@ -128,9 +128,13 @@ impl Pretrained {
         if self.clusters.len() == 1 {
             return (0, &self.clusters[0]);
         }
-        let view = GraphView::of(flow);
-        let centers: Vec<GraphView> = self.clusters.iter().map(|c| c.center.clone()).collect();
-        let (idx, _) = nearest_center(&view, &centers, self.ged_cap);
+        // The nearest center by capped GED, ties to the lower index.
+        let (idx, _) = self
+            .center_distances(flow)
+            .into_iter()
+            .enumerate()
+            .min_by_key(|&(c, d)| (d, c))
+            .expect("a bundle has at least one cluster");
         (idx, &self.clusters[idx])
     }
 
@@ -446,22 +450,25 @@ mod tests {
     fn assign_returns_valid_cluster() {
         let corpus = small_corpus(7, 16);
         let pre = Pretrainer::new(PretrainConfig::fast()).run(&corpus);
-        let target = streamtune_workloads::nexmark::q5(streamtune_workloads::rates::Engine::Flink);
-        let (idx, model) = pre.assign(&target.flow);
-        assert!(idx < pre.clusters.len());
-        assert_eq!(model.encoder.hidden_dim(), 16);
-        // The audit-trail helper agrees with the assignment: one capped
-        // distance per center, minimized (ties to the lower index) at the
-        // assigned cluster.
-        let dists = pre.center_distances(&target.flow);
-        assert_eq!(dists.len(), pre.clusters.len());
-        let argmin = dists
-            .iter()
-            .enumerate()
-            .min_by_key(|&(c, &d)| (d, c))
-            .map(|(c, _)| c)
-            .unwrap();
-        assert_eq!(argmin, idx);
+        assert!(pre.clusters.len() > 1, "clustering must not fall back");
+        // Every Nexmark and PQP workload DAG: the audit-trail distances
+        // (one capped distance per center) are minimized, ties to the
+        // lower index, at the assigned cluster.
+        let workloads =
+            streamtune_workloads::named_workloads(streamtune_workloads::rates::Engine::Flink);
+        for w in &workloads {
+            let (idx, model) = pre.assign(&w.flow);
+            assert_eq!(model.encoder.hidden_dim(), 16);
+            let dists = pre.center_distances(&w.flow);
+            assert_eq!(dists.len(), pre.clusters.len());
+            let argmin = dists
+                .iter()
+                .enumerate()
+                .min_by_key(|&(c, &d)| (d, c))
+                .map(|(c, _)| c)
+                .unwrap();
+            assert_eq!(argmin, idx, "{}: distances {dists:?}", w.name);
+        }
     }
 
     #[test]

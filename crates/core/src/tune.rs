@@ -24,8 +24,8 @@ use streamtune_nn::GraphSample;
 /// The paper's headline experiments use the SVM head; its ablation finds
 /// SVM ≈ XGBoost. Our from-scratch SVM approximation calibrates worse than
 /// our monotone GBDT on this substrate, so this reproduction defaults to
-/// `Xgboost` (recorded in EXPERIMENTS.md); `Svm` remains available and is
-/// exercised by the Fig. 11a ablation.
+/// `Xgboost`, a deliberate deviation from the paper; `Svm` remains
+/// available and is exercised by the Fig. 11a ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ModelKind {
     /// Monotonic SVM (the paper's default in §V-C).
@@ -323,33 +323,11 @@ impl Tuner for StreamTune<'_> {
                 }
             }
 
-            if std::env::var_os("STREAMTUNE_DEBUG").is_some() {
-                eprintln!(
-                    "  iter {iterations}: deploy {:?} lb {:?} ub {:?} cert {:?}",
-                    assignment.as_slice(),
-                    lower,
-                    upper,
-                    certified
-                );
-            }
             // Line 10: redeploy and monitor.
             let obs = session.deploy(&assignment)?;
-            if std::env::var_os("STREAMTUNE_DEBUG").is_some() {
-                eprintln!("    -> bp={}", obs.job_backpressure);
-            }
             last_backpressure = obs.job_backpressure;
             // Line 11: ΔT feedback.
             let labels = bottleneck_labels(flow, &obs, &self.config.label);
-            if std::env::var_os("STREAMTUNE_DEBUG").is_some() {
-                let cpu: Vec<f64> = obs
-                    .per_op
-                    .iter()
-                    .map(|o| (o.cpu_load * 100.0).round() / 100.0)
-                    .collect();
-                let bp: Vec<bool> = obs.per_op.iter().map(|o| o.flink_backpressured).collect();
-                let sat: Vec<bool> = obs.per_op.iter().map(|o| o.saturated).collect();
-                eprintln!("    labels {labels:?} cpu {cpu:?} opbp {bp:?} sat {sat:?}");
-            }
             probe = vec![0u32; n_ops];
             for (i, &l) in labels.iter().enumerate() {
                 if l < 0.0 {

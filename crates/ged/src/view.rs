@@ -95,13 +95,6 @@ impl GraphView {
         d
     }
 
-    /// Sorted label multiset.
-    pub fn label_multiset(&self) -> Vec<OperatorKind> {
-        let mut v = self.labels.clone();
-        v.sort();
-        v
-    }
-
     /// The [`GraphSignature`] of this view — identical to
     /// [`GraphSignature::of`] on the dataflow the view was extracted from,
     /// so views interned from a flow and views restored from a snapshot

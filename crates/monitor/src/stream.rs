@@ -64,7 +64,6 @@ impl OpWindow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricStream {
     per_op: Vec<OpWindow>,
-    backpressure: RingBuffer,
     polls: u64,
     retry: RetryPolicy,
     retry_stats: RetryStats,
@@ -75,7 +74,6 @@ impl MetricStream {
     pub fn new(num_ops: usize, config: MetricStreamConfig) -> Self {
         MetricStream {
             per_op: (0..num_ops).map(|_| OpWindow::new(config.window)).collect(),
-            backpressure: RingBuffer::new(config.window),
             polls: 0,
             retry: config.retry,
             retry_stats: RetryStats::default(),
@@ -150,8 +148,6 @@ impl MetricStream {
             w.processed_rate.push(o.processed_rate);
             w.cpu_load.push(o.cpu_load);
         }
-        self.backpressure
-            .push(if obs.job_backpressure { 1.0 } else { 0.0 });
         self.polls += 1;
     }
 
@@ -168,11 +164,6 @@ impl MetricStream {
     /// Polls taken so far.
     pub fn polls(&self) -> u64 {
         self.polls
-    }
-
-    /// Fraction of the window spent under job-level backpressure.
-    pub fn backpressure_fraction(&self) -> f64 {
-        self.backpressure.mean()
     }
 }
 

@@ -32,21 +32,16 @@ pub const PARALLELISM_NORM: f64 = 100.0;
 
 /// One training/inference sample: a dataflow DAG lowered to matrices.
 ///
-/// The adjacency is carried twice: dense `n × n` matrices (the reference
-/// path, used by the parity tests and the Fig. 11-style ablations) and CSR
-/// sparse forms (`csr_in`/`csr_out`, the production message-passing path —
-/// DAGs have `O(n)` edges, so `spmm` beats the dense matmul by `n / degree`).
+/// The adjacency is carried in CSR form only: DAGs have `O(n)` edges, so
+/// `spmm` beats a dense `n × n` matmul by `n / degree`. The dense
+/// reference path ([`GnnConfig::dense_messages`]) densifies it on the fly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GraphSample {
     /// Node features, `n × FEATURE_DIM`.
     pub features: Matrix,
-    /// Row-normalized in-neighbour adjacency, `n × n`.
-    pub a_in: Matrix,
-    /// Row-normalized out-neighbour adjacency, `n × n`.
-    pub a_out: Matrix,
-    /// CSR form of [`GraphSample::a_in`] (sparse message-passing path).
+    /// Row-normalized in-neighbour adjacency, `n × n`, in CSR form.
     pub csr_in: CsrAdj,
-    /// CSR form of [`GraphSample::a_out`].
+    /// Row-normalized out-neighbour adjacency, `n × n`, in CSR form.
     pub csr_out: CsrAdj,
     /// Per-node parallelism degrees (raw, ≥ 1). Used when training with the
     /// parallelism-aware path.
@@ -67,13 +62,9 @@ impl GraphSample {
         assert_eq!(labels.len(), flow.num_ops());
         let rows = encoder.encode_dataflow(flow);
         let features = Matrix::from_rows(&rows);
-        let (a_in, a_out) = adjacency_matrices(flow);
-        let csr_in = CsrAdj::from_dense(&a_in);
-        let csr_out = CsrAdj::from_dense(&a_out);
+        let (csr_in, csr_out) = csr_adjacency(flow);
         GraphSample {
             features,
-            a_in,
-            a_out,
             csr_in,
             csr_out,
             parallelism: parallelism.to_vec(),
@@ -120,7 +111,29 @@ impl GraphSample {
     }
 }
 
-/// Row-normalized predecessor and successor adjacency matrices of `flow`.
+/// Row-normalized predecessor and successor adjacency of `flow` in CSR
+/// form: every neighbour of an operator weighs `1 / neighbours`.
+fn csr_adjacency(flow: &Dataflow) -> (CsrAdj, CsrAdj) {
+    let mut in_edges = Vec::new();
+    let mut out_edges = Vec::new();
+    for op in flow.op_ids() {
+        let preds = flow.preds(op);
+        let w = 1.0 / preds.len() as f64;
+        in_edges.extend(preds.iter().map(|p| (op.index(), p.index(), w)));
+        let succs = flow.succs(op);
+        let w = 1.0 / succs.len() as f64;
+        out_edges.extend(succs.iter().map(|s| (op.index(), s.index(), w)));
+    }
+    let n = flow.num_ops();
+    (
+        CsrAdj::from_edges(n, &in_edges),
+        CsrAdj::from_edges(n, &out_edges),
+    )
+}
+
+/// Row-normalized predecessor and successor adjacency matrices of `flow`,
+/// dense: the reference [`GraphSample::from_dataflow`]'s CSR is tested
+/// against.
 pub fn adjacency_matrices(flow: &Dataflow) -> (Matrix, Matrix) {
     let n = flow.num_ops();
     let mut a_in = Matrix::zeros(n, n);
@@ -156,8 +169,9 @@ pub struct GnnConfig {
     /// Adam settings for pre-training.
     pub adam: AdamConfig,
     /// Aggregate neighbour messages with dense `n × n` matmuls instead of
-    /// CSR `spmm`. The two paths are bit-identical; dense exists for parity
-    /// tests and ablation. Default: `false` (sparse).
+    /// CSR `spmm`, densifying the sample's CSR per forward pass. The two
+    /// paths are bit-identical; dense is the reference the parity tests
+    /// compare against. Default: `false` (sparse).
     pub dense_messages: bool,
 }
 
@@ -257,7 +271,10 @@ impl GnnEncoder {
         // Dense path binds the adjacencies as constant leaves; the sparse
         // path hands CSR constants straight to `spmm` (no n×n tape nodes).
         let dense_adj = if self.config.dense_messages {
-            Some((tape.leaf_copy(&sample.a_in), tape.leaf_copy(&sample.a_out)))
+            Some((
+                tape.leaf(sample.csr_in.to_dense()),
+                tape.leaf(sample.csr_out.to_dense()),
+            ))
         } else {
             None
         };

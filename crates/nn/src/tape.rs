@@ -345,11 +345,11 @@ impl Tape {
                 Op::Mul(a, b) => {
                     let mut ga = self.alloc_empty();
                     ga.copy_from(&grad);
-                    hadamard_assign(&mut ga, &self.nodes[b].value);
+                    mul_elementwise_assign(&mut ga, &self.nodes[b].value);
                     self.acc_owned(a, ga);
                     let mut gb = self.alloc_empty();
                     gb.copy_from(&grad);
-                    hadamard_assign(&mut gb, &self.nodes[a].value);
+                    mul_elementwise_assign(&mut gb, &self.nodes[a].value);
                     self.acc_owned(b, gb);
                 }
                 Op::AddBias(a, bias) => {
@@ -489,7 +489,7 @@ fn broadcast_add_bias(m: &mut Matrix, bias: &Matrix, relu: bool) {
 }
 
 /// `m ⊙= other` elementwise.
-fn hadamard_assign(m: &mut Matrix, other: &Matrix) {
+fn mul_elementwise_assign(m: &mut Matrix, other: &Matrix) {
     debug_assert_eq!(m.shape(), other.shape());
     for (a, &b) in m.data_mut().iter_mut().zip(other.data()) {
         *a *= b;

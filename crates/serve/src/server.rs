@@ -1087,7 +1087,10 @@ impl Server {
             message: e.to_string(),
         })?;
         install_sigterm_handler();
-        let tcp = lock_server(server).tcp.clone();
+        let tcp = lock_server(server, None)
+            .expect("a blocking lock always succeeds")
+            .tcp
+            .clone();
         let shutdown = AtomicBool::new(false);
         let sessions = AtomicUsize::new(0);
         let mut last_tick = Instant::now();
@@ -1139,7 +1142,8 @@ impl Server {
                         if let Some(interval) = config.monitor_interval {
                             if last_tick.elapsed() >= interval {
                                 last_tick = Instant::now();
-                                let mut guard = lock_server(server);
+                                let mut guard = lock_server(server, None)
+                                    .expect("a blocking lock always succeeds");
                                 match catch_unwind(AssertUnwindSafe(|| guard.tick_monitor(1))) {
                                     Ok(report) => {
                                         for event in &report.events {
@@ -1191,48 +1195,23 @@ impl Server {
 /// journal already holds every observed epoch, so exiting without the
 /// final flush loses nothing that matters.
 fn drain_on_term(server: &Mutex<Server>, timeout: Duration) {
-    let start = Instant::now();
-    loop {
-        match server.try_lock() {
-            Ok(mut guard) => {
-                let (response, _) = guard.handle(&Request::Drain);
-                emit(
-                    Level::Warn,
-                    "serve.tcp",
-                    format!("SIGTERM drain: {}", render_response(&response)),
-                );
-                return;
-            }
-            Err(TryLockError::Poisoned(poisoned)) => {
-                server.clear_poison();
-                let mut guard = poisoned.into_inner();
-                guard.health.lock_recoveries += 1;
-                let (response, _) = guard.handle(&Request::Drain);
-                emit(
-                    Level::Error,
-                    "serve.tcp",
-                    format!(
-                        "SIGTERM drain (recovered lock): {}",
-                        render_response(&response)
-                    ),
-                );
-                return;
-            }
-            Err(TryLockError::WouldBlock) => {
-                if start.elapsed() >= timeout {
-                    emit(
-                        Level::Error,
-                        "serve.tcp",
-                        format!(
-                            "SIGTERM drain: server lock still held after {timeout:?}; \
-                             exiting on the journal"
-                        ),
-                    );
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+    match lock_server(server, Some(timeout)) {
+        Some(mut guard) => {
+            let (response, _) = guard.handle(&Request::Drain);
+            emit(
+                Level::Warn,
+                "serve.tcp",
+                format!("SIGTERM drain: {}", render_response(&response)),
+            );
         }
+        None => emit(
+            Level::Error,
+            "serve.tcp",
+            format!(
+                "SIGTERM drain: server lock still held after {timeout:?}; \
+                 exiting on the journal"
+            ),
+        ),
     }
 }
 
@@ -1285,7 +1264,12 @@ fn sigterm_pending() -> bool {
 /// closes only that connection.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Lock the shared server, *recovering* a poisoned lock.
+/// Lock the shared server, *recovering* a poisoned lock. This is the
+/// only place the daemon takes the server lock.
+///
+/// With `deadline: None` the call blocks until the lock is free and
+/// always returns a guard. With a deadline it polls every millisecond and
+/// returns `None` once the deadline has passed without the lock.
 ///
 /// The lock only poisons if a handler panicked while holding it; every
 /// dispatch path wraps handlers in `catch_unwind`, so poison here means a
@@ -1294,24 +1278,39 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// small steps and jobs are independent), and a daemon that answers
 /// `error` beats one that unwinds every connection thread — so recover,
 /// count it, and keep serving.
-fn lock_server<'a>(server: &'a Mutex<Server>) -> MutexGuard<'a, Server> {
-    let waited = Instant::now();
-    let guard = match server.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            server.clear_poison();
-            let mut guard = poisoned.into_inner();
-            guard.health.lock_recoveries += 1;
-            emit(
-                Level::Error,
-                "serve.lock",
-                "server lock was poisoned; recovered and serving on",
-            );
-            guard
+fn lock_server(
+    server: &Mutex<Server>,
+    deadline: Option<Duration>,
+) -> Option<MutexGuard<'_, Server>> {
+    let start = Instant::now();
+    let guard = loop {
+        let attempt = match deadline {
+            None => server.lock().map_err(TryLockError::from),
+            Some(_) => server.try_lock(),
+        };
+        match attempt {
+            Ok(guard) => break guard,
+            Err(TryLockError::Poisoned(poisoned)) => {
+                server.clear_poison();
+                let mut guard = poisoned.into_inner();
+                guard.health.lock_recoveries += 1;
+                emit(
+                    Level::Error,
+                    "serve.lock",
+                    "server lock was poisoned; recovered and serving on",
+                );
+                break guard;
+            }
+            Err(TryLockError::WouldBlock) => {
+                if deadline.is_some_and(|limit| start.elapsed() >= limit) {
+                    return None;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     };
-    ServeMetrics::get().record_lock_wait(waited.elapsed());
-    guard
+    ServeMetrics::get().record_lock_wait(start.elapsed());
+    Some(guard)
 }
 
 /// Dispatch one parsed request under the shared lock, containing handler
@@ -1319,55 +1318,29 @@ fn lock_server<'a>(server: &'a Mutex<Server>) -> MutexGuard<'a, Server> {
 /// because the guard outlives the `catch_unwind` closure the lock is
 /// released normally — not poisoned — afterwards.
 ///
-/// With a `deadline`, the lock is polled instead of blocked on: a request
-/// that cannot be served within the deadline is shed with an `overloaded`
+/// The lock is polled, not blocked on: a request that cannot be served
+/// within `config.request_deadline` is shed with an `overloaded`
 /// response (counted in `tcp`), so one slow drain cannot stack every
 /// other session behind it without bound.
 fn dispatch(
     server: &Mutex<Server>,
     request: &Request,
-    deadline: Option<(&TcpCounters, &TcpConfig)>,
+    tcp: &TcpCounters,
+    config: &TcpConfig,
 ) -> (Response, bool) {
     // One trace per TCP request, labeled by verb: the lock wait and the
     // handler (and everything the handler fans out to) nest under it.
     let _root = streamtune_telemetry::root_span(request.verb(), "serve.dispatch", "dispatch");
     let lock_span = streamtune_telemetry::child_span("serve.dispatch", "lock_acquire");
-    let mut guard = match deadline {
-        None => lock_server(server),
-        Some((tcp, config)) => {
-            let start = Instant::now();
-            let guard = loop {
-                match server.try_lock() {
-                    Ok(guard) => break guard,
-                    Err(TryLockError::Poisoned(poisoned)) => {
-                        server.clear_poison();
-                        let mut guard = poisoned.into_inner();
-                        guard.health.lock_recoveries += 1;
-                        emit(
-                            Level::Error,
-                            "serve.lock",
-                            "server lock was poisoned; recovered and serving on",
-                        );
-                        break guard;
-                    }
-                    Err(TryLockError::WouldBlock) => {
-                        if start.elapsed() >= config.request_deadline {
-                            tcp.deadlines_expired.fetch_add(1, Ordering::Relaxed);
-                            return (
-                                Response::Overloaded {
-                                    retry_after_ms: config.retry_after_ms,
-                                    reason: "deadline".to_string(),
-                                },
-                                false,
-                            );
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            };
-            ServeMetrics::get().record_lock_wait(start.elapsed());
-            guard
-        }
+    let Some(mut guard) = lock_server(server, Some(config.request_deadline)) else {
+        tcp.deadlines_expired.fetch_add(1, Ordering::Relaxed);
+        return (
+            Response::Overloaded {
+                retry_after_ms: config.retry_after_ms,
+                reason: "deadline".to_string(),
+            },
+            false,
+        );
     };
     // Close the lock-wait span before the handler runs: the handler's
     // span is a *sibling* of the wait, not its child.
@@ -1428,7 +1401,7 @@ fn serve_connection(
                     continue;
                 }
                 let (response, stop) = match parse_request(&trimmed) {
-                    Ok(request) => dispatch(server, &request, Some((tcp, config))),
+                    Ok(request) => dispatch(server, &request, tcp, config),
                     Err(e) => (
                         Response::Error {
                             message: format!("bad request: {e}"),
@@ -1458,5 +1431,111 @@ fn serve_connection(
             }
             Err(e) => return Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use streamtune_workloads::history::HistoryGenerator;
+
+    fn small_server() -> Mutex<Server> {
+        let cluster = SimCluster::flink_defaults(5);
+        let corpus = HistoryGenerator::new(5).with_jobs(4).generate(&cluster);
+        let pretrained = Pretrainer::new(PretrainConfig::fast()).run(&corpus);
+        let cache = GedCache::new(Bound::LabelSet, pretrained.ged_cap);
+        Mutex::new(Server::new(
+            pretrained,
+            cache,
+            None,
+            corpus,
+            ServerConfig::fast(),
+        ))
+    }
+
+    /// Run `body` while another thread holds the server lock.
+    fn while_held<T>(server: &Mutex<Server>, body: impl FnOnce() -> T) -> T {
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _guard = lock_server(server, None);
+                held_tx.send(()).unwrap();
+                release_rx.recv().ok();
+            });
+            held_rx.recv().unwrap();
+            let out = body();
+            release_tx.send(()).unwrap();
+            out
+        })
+    }
+
+    #[test]
+    fn poisoned_lock_is_recovered_and_counted_once() {
+        let server = small_server();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = lock_server(&server, None);
+                panic!("handler panicked while holding the server lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(server.is_poisoned());
+        let deadline = Some(Duration::from_millis(50));
+        let recoveries = |server: &Mutex<Server>| {
+            lock_server(server, deadline)
+                .expect("a free lock is taken before the deadline")
+                .health
+                .lock_recoveries
+        };
+        assert_eq!(recoveries(&server), 1);
+        assert!(!server.is_poisoned());
+        assert_eq!(recoveries(&server), 1, "a recovered lock is not recounted");
+    }
+
+    #[test]
+    fn lock_held_past_the_deadline_sheds_the_request() {
+        let server = small_server();
+        let tcp = TcpCounters::default();
+        let config = TcpConfig {
+            request_deadline: Duration::from_millis(20),
+            retry_after_ms: 77,
+            ..TcpConfig::default()
+        };
+        let (response, stop) = while_held(&server, || {
+            dispatch(&server, &Request::Health, &tcp, &config)
+        });
+        assert_eq!(
+            response,
+            Response::Overloaded {
+                retry_after_ms: 77,
+                reason: "deadline".to_string(),
+            }
+        );
+        assert!(!stop);
+        assert_eq!(tcp.deadlines_expired.load(Ordering::Relaxed), 1);
+        // Once the lock is free the same request is served.
+        let (response, _) = dispatch(&server, &Request::Health, &tcp, &config);
+        assert!(matches!(response, Response::Health(_)), "{response:?}");
+        assert_eq!(tcp.deadlines_expired.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn drain_gives_up_after_its_timeout_without_a_guard() {
+        let server = small_server();
+        let timeout = Duration::from_millis(30);
+        let (acquired, waited) = while_held(&server, || {
+            let start = Instant::now();
+            let acquired = lock_server(&server, Some(timeout)).is_some();
+            drain_on_term(&server, timeout);
+            (acquired, start.elapsed())
+        });
+        assert!(!acquired);
+        assert!(waited >= 2 * timeout, "gave up early: {waited:?}");
+        assert!(
+            waited < Duration::from_secs(10),
+            "never gave up: {waited:?}"
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Simulated distributed stream processing substrate.
 //!
 //! The paper evaluates StreamTune on Apache Flink and Timely Dataflow. This
-//! crate is the substitute substrate (see `DESIGN.md` §1): a deterministic,
-//! rate-based simulator that produces exactly the signals every tuner in the
-//! paper consumes —
+//! reproduction runs on neither by default; this crate is the substitute
+//! substrate, a deterministic, rate-based simulator that produces exactly
+//! the signals every tuner in the paper consumes —
 //!
 //! * per-operator `busyTimeMsPerSecond` / `idleTimeMsPerSecond` /
 //!   `backPressuredTimeMsPerSecond` (Flink mode, paper §V-B),

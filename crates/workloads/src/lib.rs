@@ -14,8 +14,8 @@
 //! Source-rate calibration: the paper's absolute `Wu` values reflect the
 //! authors' per-core throughputs. We keep the *relative* Table II structure
 //! but scale the PQP units so the `10 Wu` operating point exercises the
-//! same total-parallelism region (≈ 10–60) as paper Fig. 6 — documented in
-//! `DESIGN.md` §1 and `EXPERIMENTS.md`.
+//! same total-parallelism region (≈ 10–60) as paper Fig. 6. This is a
+//! deliberate deviation from the paper; see [`rates::pqp_unit`].
 
 pub mod history;
 pub mod nexmark;

@@ -63,7 +63,7 @@ pub fn nexmark_units(query: &str, engine: Engine) -> (f64, f64, f64) {
 /// paper's 5 K / 0.5 K / 0.25 K reflect their testbed's heavyweight PQP
 /// operators; our simulator's per-core rates are higher, so we keep the
 /// 20 : 2 : 1 ratio scaled ×100 to land in the same Fig. 6 parallelism
-/// region (see `DESIGN.md` §1).
+/// region. This calibration deviates from the paper's Table II.
 pub fn pqp_unit(template: &str) -> f64 {
     match template {
         "linear" => 500e3,

@@ -84,8 +84,9 @@
 //! * **Sparse message passing** — GNN neighbour aggregation runs as CSR
 //!   `spmm` over predecessor/successor lists
 //!   ([`nn::sparse::CsrAdj`](nn::CsrAdj)) instead of dense `n × n`
-//!   matmuls, bit-identical to the dense path (kept behind
-//!   [`GnnConfig::dense_messages`](nn::GnnConfig) for tests/ablation).
+//!   matmuls. Samples carry only the CSR form; the dense path behind
+//!   [`GnnConfig::dense_messages`](nn::GnnConfig) densifies it on the fly
+//!   and exists only as the reference the parity tests compare against.
 //! * **Allocation-free kernels** — the autodiff [`Tape`](nn::Tape) pools
 //!   every value/gradient/temporary buffer (`Tape::reset` recycles them
 //!   between samples), matrix kernels work in place
@@ -312,13 +313,13 @@
 //!   durations and drift-event counts, retry/backoff timings (backend),
 //!   GED cache hit/miss/filtered counters with a hit-ratio gauge, and
 //!   pretrain phase timings (core).
-//! * **Events & spans** — leveled structured events in a bounded ring
+//! * **Events** — leveled structured events in a bounded ring
 //!   ([`EventLog`](telemetry::EventLog)), optionally streamed as JSONL
 //!   (`streamtune serve --trace-log FILE`, size-capped with
 //!   `--trace-log-cap BYTES` via [`telemetry::RotatingWriter`], which
 //!   rotates the live file to `FILE.1`) and echoed to stderr at or
-//!   above a threshold; timed [`Span`](telemetry::Span)s record elapsed
-//!   nanoseconds on drop. The daemon's former bare `eprintln!` lines
+//!   above a threshold. Spans are the span trees described below; there
+//!   is no flat span type. The daemon's former bare `eprintln!` lines
 //!   (store recovery, SIGTERM drain, connection errors, monitor
 //!   adaptations) are all events now.
 //! * **Exposition** — the `metrics` protocol verb returns the registry

@@ -8,7 +8,7 @@ use streamtune::cluster::{cluster_dags, ClusterConfig};
 use streamtune::core::{Parallelism, PretrainConfig, Pretrainer};
 use streamtune::dataflow::{FeatureEncoder, GraphSignature};
 use streamtune::ged::GraphView;
-use streamtune::nn::{GnnConfig, GnnEncoder, GraphSample};
+use streamtune::nn::{adjacency_matrices, CsrAdj, GnnConfig, GnnEncoder, GraphSample};
 use streamtune::prelude::*;
 use streamtune::workloads::history::{ExecutionRecord, HistoryGenerator};
 
@@ -27,6 +27,24 @@ fn max_abs_diff(a: &streamtune::nn::Matrix, b: &streamtune::nn::Matrix) -> f64 {
         .zip(b.data())
         .map(|(x, y)| (x - y).abs())
         .fold(0.0, f64::max)
+}
+
+#[test]
+fn sample_csr_equals_the_dense_adjacency_on_every_corpus_dag() {
+    // Samples build their CSR straight from the pred/succ lists; it must
+    // equal the CSR of the dense reference matrices on every Nexmark, PQP
+    // and random Fig. 5 DAG of a full history pool.
+    let generator = HistoryGenerator::new(23).with_jobs(400);
+    let pool = generator.job_pool();
+    assert!(pool.iter().any(|w| w.name.starts_with("hist-")));
+    let features = FeatureEncoder::default();
+    for w in &pool {
+        let n = w.flow.num_ops();
+        let sample = GraphSample::from_dataflow(&w.flow, &features, &vec![1; n], &vec![-1.0; n]);
+        let (a_in, a_out) = adjacency_matrices(&w.flow);
+        assert_eq!(sample.csr_in, CsrAdj::from_dense(&a_in), "{}", w.name);
+        assert_eq!(sample.csr_out, CsrAdj::from_dense(&a_out), "{}", w.name);
+    }
 }
 
 #[test]
