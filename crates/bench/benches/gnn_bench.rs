@@ -60,8 +60,9 @@ fn bench_train(c: &mut Criterion) {
 }
 
 /// Dense n×n matmul vs CSR spmm message passing, forward and backward —
-/// the two paths are bit-identical (parity-tested), so any gap here is
-/// pure kernel cost.
+/// the two paths are bit-identical (parity-tested). The dense arm also
+/// densifies both CSR adjacencies on every pass, since samples carry only
+/// the CSR form, so its time is kernel plus densification cost.
 fn bench_dense_vs_csr(c: &mut Criterion) {
     let batch = samples();
     let mut group = c.benchmark_group("gnn_messages");

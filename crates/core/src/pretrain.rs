@@ -451,14 +451,19 @@ mod tests {
         let corpus = small_corpus(7, 16);
         let pre = Pretrainer::new(PretrainConfig::fast()).run(&corpus);
         assert!(pre.clusters.len() > 1, "clustering must not fall back");
-        // Every Nexmark and PQP workload DAG: the audit-trail distances
-        // (one capped distance per center) are minimized, ties to the
-        // lower index, at the assigned cluster.
+        let centers: Vec<GraphView> = pre.clusters.iter().map(|c| c.center.clone()).collect();
+        // Every Nexmark and PQP workload DAG: the assignment matches the
+        // independent `nearest_center` search, and the audit-trail
+        // distances (one capped distance per center) are minimized, ties
+        // to the lower index, at the assigned cluster.
         let workloads =
             streamtune_workloads::named_workloads(streamtune_workloads::rates::Engine::Flink);
         for w in &workloads {
             let (idx, model) = pre.assign(&w.flow);
             assert_eq!(model.encoder.hidden_dim(), 16);
+            let (reference, _) =
+                streamtune_cluster::nearest_center(&GraphView::of(&w.flow), &centers, pre.ged_cap);
+            assert_eq!(idx, reference, "{}", w.name);
             let dists = pre.center_distances(&w.flow);
             assert_eq!(dists.len(), pre.clusters.len());
             let argmin = dists

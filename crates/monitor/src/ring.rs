@@ -12,6 +12,7 @@ pub struct RingBuffer {
     buf: Vec<f64>,
     head: usize,
     len: usize,
+    pushed: u64,
 }
 
 impl RingBuffer {
@@ -22,6 +23,7 @@ impl RingBuffer {
             buf: vec![0.0; capacity],
             head: 0,
             len: 0,
+            pushed: 0,
         }
     }
 
@@ -30,6 +32,7 @@ impl RingBuffer {
         self.buf[self.head] = v;
         self.head = (self.head + 1) % self.buf.len();
         self.len = (self.len + 1).min(self.buf.len());
+        self.pushed += 1;
     }
 
     /// Samples currently held.
@@ -50,6 +53,11 @@ impl RingBuffer {
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Total samples ever pushed (including evicted ones).
+    pub fn total_pushed(&self) -> u64 {
+        self.pushed
     }
 
     /// Samples oldest → newest.
@@ -112,6 +120,7 @@ mod tests {
         r.push(4.0);
         assert_eq!(r.iter().collect::<Vec<_>>(), vec![2.0, 3.0, 4.0]);
         assert_eq!(r.latest(), Some(4.0));
+        assert_eq!(r.total_pushed(), 4);
         assert_eq!(r.len(), 3);
     }
 

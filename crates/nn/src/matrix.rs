@@ -277,6 +277,47 @@ impl Matrix {
         out
     }
 
+    /// Elementwise sum.
+    pub fn add(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.shape(), other.shape());
+        let data = self
+            .data
+            .iter()
+            .zip(&other.data)
+            .map(|(a, b)| a + b)
+            .collect();
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// Elementwise difference.
+    pub fn sub(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.shape(), other.shape());
+        let data = self
+            .data
+            .iter()
+            .zip(&other.data)
+            .map(|(a, b)| a - b)
+            .collect();
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// Scalar multiple.
+    pub fn scale(&self, s: f64) -> Matrix {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.iter().map(|a| a * s).collect(),
+        }
+    }
+
     /// Apply `f` elementwise.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
@@ -318,6 +359,22 @@ impl Matrix {
     /// Sum over all elements.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
+    }
+
+    /// Column sums as a 1×cols matrix.
+    pub fn col_sums(&self) -> Matrix {
+        let mut out = Matrix::zeros(1, self.cols);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                out.data[c] += self.data[r * self.cols + c];
+            }
+        }
+        out
+    }
+
+    /// Frobenius norm.
+    pub fn norm(&self) -> f64 {
+        self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
     }
 }
 
@@ -373,7 +430,13 @@ mod tests {
         let w = Matrix::xavier(10, 20, &mut rng);
         let limit = (6.0_f64 / 30.0).sqrt();
         assert!(w.data().iter().all(|&x| x.abs() <= limit));
-        assert!(w.data().iter().any(|&x| x != 0.0));
+        assert!(w.norm() > 0.0);
+    }
+
+    #[test]
+    fn col_sums_correct() {
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(a.col_sums(), Matrix::from_vec(1, 2, vec![4.0, 6.0]));
     }
 
     #[test]

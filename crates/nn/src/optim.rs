@@ -93,6 +93,17 @@ impl ParamSet {
             }
         }
     }
+
+    /// Plain SGD update (used by tests and the SVM head).
+    pub fn sgd_step(&mut self, tape: &Tape, bindings: &Bindings, lr: f64) {
+        for &(id, var) in &bindings.pairs {
+            let g = tape.grad(var);
+            let i = id.0;
+            for k in 0..g.data().len() {
+                self.values[i].data_mut()[k] -= lr * g.data()[k];
+            }
+        }
+    }
 }
 
 /// Records which tape leaves correspond to which parameters in one forward.
@@ -166,6 +177,21 @@ mod tests {
         let v = params.value(x);
         assert!((v.get(0, 0) - 1.0).abs() < 1e-3, "{v:?}");
         assert!((v.get(0, 1) - 2.0).abs() < 1e-3, "{v:?}");
+    }
+
+    #[test]
+    fn sgd_descends() {
+        let mut params = ParamSet::new();
+        let x = params.register(Matrix::row_vector(&[4.0]));
+        for _ in 0..100 {
+            let mut tape = Tape::new();
+            let mut b = Bindings::new();
+            let xv = params.bind(x, &mut tape, &mut b);
+            let loss = tape.mul(xv, xv);
+            tape.backward_from(loss, Matrix::full(1, 1, 1.0));
+            params.sgd_step(&tape, &b, 0.1);
+        }
+        assert!(params.value(x).get(0, 0).abs() < 1e-3);
     }
 
     #[test]

@@ -1087,10 +1087,7 @@ impl Server {
             message: e.to_string(),
         })?;
         install_sigterm_handler();
-        let tcp = lock_server(server, None)
-            .expect("a blocking lock always succeeds")
-            .tcp
-            .clone();
+        let tcp = lock_server_blocking(server).tcp.clone();
         let shutdown = AtomicBool::new(false);
         let sessions = AtomicUsize::new(0);
         let mut last_tick = Instant::now();
@@ -1142,8 +1139,7 @@ impl Server {
                         if let Some(interval) = config.monitor_interval {
                             if last_tick.elapsed() >= interval {
                                 last_tick = Instant::now();
-                                let mut guard = lock_server(server, None)
-                                    .expect("a blocking lock always succeeds");
+                                let mut guard = lock_server_blocking(server);
                                 match catch_unwind(AssertUnwindSafe(|| guard.tick_monitor(1))) {
                                     Ok(report) => {
                                         for event in &report.events {
@@ -1313,6 +1309,12 @@ fn lock_server(
     Some(guard)
 }
 
+/// [`lock_server`] without a deadline: blocks until the lock is free, so
+/// it always yields a guard.
+fn lock_server_blocking(server: &Mutex<Server>) -> MutexGuard<'_, Server> {
+    lock_server(server, None).expect("a lock without a deadline is always taken")
+}
+
 /// Dispatch one parsed request under the shared lock, containing handler
 /// panics: a panic becomes an `error` response plus a health counter, and
 /// because the guard outlives the `catch_unwind` closure the lock is
@@ -1460,7 +1462,7 @@ mod tests {
         let (release_tx, release_rx) = mpsc::channel::<()>();
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                let _guard = lock_server(server, None);
+                let _guard = lock_server_blocking(server);
                 held_tx.send(()).unwrap();
                 release_rx.recv().ok();
             });
@@ -1476,7 +1478,7 @@ mod tests {
         let server = small_server();
         std::thread::scope(|scope| {
             let holder = scope.spawn(|| {
-                let _guard = lock_server(&server, None);
+                let _guard = lock_server_blocking(&server);
                 panic!("handler panicked while holding the server lock");
             });
             assert!(holder.join().is_err());

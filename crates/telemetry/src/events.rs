@@ -1,7 +1,8 @@
 //! Leveled structured events and the bounded ring-buffer [`EventLog`].
 //!
 //! Events replace bare `eprintln!` call sites: each is a typed record
-//! (level, target, message, optional fields) that is (1) kept in a bounded in-memory ring for inspection, (2) optionally
+//! (level, target, message, optional fields, optional elapsed time) that
+//! is (1) kept in a bounded in-memory ring for inspection, (2) optionally
 //! streamed as one JSONL line to an attached writer (`--trace-log`), and
 //! (3) echoed to stderr as one human-readable line when at or above the
 //! echo threshold — so operational lines that used to be `eprintln!`
@@ -57,6 +58,8 @@ pub struct Event {
     pub message: String,
     /// Structured key/value fields.
     pub fields: Vec<(String, String)>,
+    /// Elapsed wall-clock nanoseconds, for events that time something.
+    pub elapsed_nanos: Option<u64>,
 }
 
 impl Event {
@@ -88,6 +91,10 @@ impl Event {
             }
             out.push('}');
         }
+        if let Some(nanos) = self.elapsed_nanos {
+            out.push_str(",\"elapsed_nanos\":");
+            out.push_str(&nanos.to_string());
+        }
         out.push('}');
         out
     }
@@ -101,6 +108,9 @@ impl Event {
         );
         for (k, v) in &self.fields {
             line.push_str(&format!(" {k}={v}"));
+        }
+        if let Some(nanos) = self.elapsed_nanos {
+            line.push_str(&format!(" elapsed={}us", nanos / 1_000));
         }
         line
     }
@@ -202,7 +212,7 @@ impl EventLog {
 
     /// Emit an event with no structured fields.
     pub fn emit(&self, level: Level, target: &str, message: String) {
-        self.push(level, target, message, Vec::new());
+        self.push(level, target, message, Vec::new(), None);
     }
 
     /// Emit an event with structured fields.
@@ -211,10 +221,17 @@ impl EventLog {
             .iter()
             .map(|&(k, v)| (k.to_string(), v.to_string()))
             .collect();
-        self.push(level, target, message, fields);
+        self.push(level, target, message, fields, None);
     }
 
-    fn push(&self, level: Level, target: &str, message: String, mut fields: Vec<(String, String)>) {
+    fn push(
+        &self,
+        level: Level,
+        target: &str,
+        message: String,
+        mut fields: Vec<(String, String)>,
+        elapsed_nanos: Option<u64>,
+    ) {
         let recording = crate::enabled();
         let echo_at = self.echo.load(Ordering::Relaxed);
         let echo = echo_at != 0 && level_code(level) >= echo_at;
@@ -239,6 +256,7 @@ impl EventLog {
             target: target.to_string(),
             message,
             fields,
+            elapsed_nanos,
         };
         if echo {
             eprintln!("{}", event.echo_line());
@@ -420,11 +438,13 @@ mod tests {
             target: "a.b".into(),
             message: "he said \"hi\"\nback\\slash".into(),
             fields: vec![("k".into(), "v1\tv2".into())],
+            elapsed_nanos: Some(42),
         };
         let line = e.to_jsonl();
         assert!(line.contains(r#"\"hi\""#), "{line}");
         assert!(line.contains(r"\n"), "{line}");
         assert!(line.contains(r"\\slash"), "{line}");
-        assert!(line.ends_with(r#""fields":{"k":"v1\tv2"}}"#), "{line}");
+        assert!(line.contains(r#""fields":{"k":"v1\tv2"}"#), "{line}");
+        assert!(line.ends_with(r#""elapsed_nanos":42}"#), "{line}");
     }
 }

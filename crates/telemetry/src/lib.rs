@@ -54,7 +54,7 @@ pub use history::{
     history, DeltaValue, HistoryFrame, MetricsHistory, SeriesDelta, DEFAULT_HISTORY_CAPACITY,
 };
 pub use metrics::{
-    bucket_index, bucket_lower_bound, bucket_upper_bound, Counter, Gauge, Histogram,
+    bucket_index, bucket_lower_bound, bucket_upper_bound, Counter, Gauge, HistTimer, Histogram,
     HistogramSnapshot, MetricKind, MetricSnapshot, MetricValue, MetricsSnapshot, Registry,
     HISTOGRAM_BUCKETS,
 };

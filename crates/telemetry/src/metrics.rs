@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Number of histogram buckets. Bucket `i` holds values `v` with
 /// `floor(log2(max(v, 1))) == i`, i.e. `v` in `[2^i, 2^(i+1))` (bucket 0
@@ -155,6 +155,15 @@ impl Histogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
+    /// Start a guard that records the elapsed wall-clock nanoseconds into
+    /// this histogram when dropped.
+    pub fn start_timer(&self) -> HistTimer<'_> {
+        HistTimer {
+            hist: self,
+            start: Instant::now(),
+        }
+    }
+
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.core.count.load(Ordering::Relaxed)
@@ -175,6 +184,18 @@ impl Histogram {
             count: self.core.count.load(Ordering::Relaxed),
             sum: self.core.sum.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// Drop guard from [`Histogram::start_timer`].
+pub struct HistTimer<'a> {
+    hist: &'a Histogram,
+    start: Instant,
+}
+
+impl Drop for HistTimer<'_> {
+    fn drop(&mut self) {
+        self.hist.record_duration(self.start.elapsed());
     }
 }
 
